@@ -164,7 +164,7 @@ func RunServeBench(s Setup, requests, batchSize, kernelItems int) (*ServeBench, 
 
 	// Phase 2: the same users through /recommend/batch, batchSize lists
 	// per POST. Still uncached — the speedup here is amortized transport
-	// and JSON overhead plus the blocked scoring kernel.
+	// and JSON overhead plus the entries' fan-out across cores.
 	batch, err := driveBatch(client, ts.URL, numUsers, requests, batchSize)
 	if err != nil {
 		return nil, err

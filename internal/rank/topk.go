@@ -5,7 +5,9 @@
 package rank
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -189,14 +191,16 @@ func (t *Heap) Root() Entry { return t.h[0] }
 // toward the smaller item id) and returns them. The heap must not be used
 // afterwards.
 func (t *Heap) Finish() []Entry {
-	h := t.h
-	sort.Slice(h, func(i, j int) bool {
-		if h[i].Score != h[j].Score {
-			return h[i].Score > h[j].Score
+	slices.SortFunc(t.h, func(a, b Entry) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-		return h[i].Item < h[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
-	return h
+	return t.h
 }
 
 // Ranks returns, for each requested item, its 1-based rank within the score

@@ -3,7 +3,7 @@ package retrieval
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
@@ -15,11 +15,13 @@ import (
 // queries; the serve path builds a fresh Index on every model swap, so an
 // Index never outlives the model generation it was built from.
 //
-// Layout: item parameters are *packed* cell-major — each cell's member
-// rows ([V_i, b_i], dim+1 floats) sit contiguously, ids ascending within
-// the cell. Probing a cell is then a dense streaming scan at the same
-// cache behavior as the exact kernel in internal/score; the speedup over
-// exact is almost exactly the fraction of the catalog pruned away.
+// Layout: item rows (dim floats each) and biases are stored cell-major —
+// each cell's members sit contiguously, ids ascending within the cell.
+// Probing a cell is then a dense streaming scan at the same cache
+// behavior as the exact sweep; the speedup over exact is almost exactly
+// the fraction of the catalog pruned away. The same layout describes the
+// single-cell exact view (see ExactView), whose one cell is the source
+// model's own item matrix in id order.
 type Index struct {
 	dim    int // latent dimensionality d
 	augDim int // d + 2: bias coordinate + norm-augmentation coordinate
@@ -31,19 +33,27 @@ type Index struct {
 	centroids []float64
 
 	// ids lists every item id exactly once, cell-major, ascending within
-	// each cell; packed holds the matching [V_i..., b_i] rows (stride
-	// dim+1). offsets[c]..offsets[c+1] is cell c's span in both. Exactly
-	// one of packed/packed32 is non-nil: an index built from a float32
-	// parameter set (mf.Factors32) packs float32 rows and scans them with
+	// each cell; slot j of ids is row j of the item matrix (stride dim)
+	// and entry j of the biases. offsets[c]..offsets[c+1] is cell c's
+	// span. Exactly one of v64/v32 is non-nil: an index over a float32
+	// parameter set (mf.Factors32) keeps float32 rows and scans them with
 	// the mixed-precision kernel, halving the bytes each probe streams.
-	ids      []int32
-	packed   []float64
-	packed32 []float32
-	offsets  []int32
+	// The matching bias slice is nil when the model has no bias term.
+	ids     []int32
+	v64     []float64
+	b64     []float64
+	v32     []float32
+	b32     []float32
+	offsets []int32
+
+	// src keeps the source parameter set reachable while the index reads
+	// its rows in place (the exact view): an mmap-backed set is unmapped
+	// by a finalizer once unreachable, and a slice into the mapping does
+	// not keep it alive on its own.
+	src mf.Params
 
 	numItems  int
-	maxNorm   float64 // M: the largest augmented item norm
-	nonFinite int     // items quarantined for non-finite parameters
+	nonFinite int // items quarantined for non-finite parameters
 }
 
 // BuildIVF constructs the index: augment every item vector onto the
@@ -57,8 +67,11 @@ type Index struct {
 // is packed as float32 rows: the clustering geometry is computed on the
 // exactly-widened float64 values, so building from a quantized model and
 // from its widened copy yields the same cells, and cell scans are
-// bit-identical to dense float32 scoring.
+// bit-identical to dense float32 scoring. An online-update overlay
+// (mf.Overlay) is built from its base: item parameters are never
+// overlaid, and unwrapping keeps a float32 base on the float32 layout.
 func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
+	m = itemSource(m)
 	if m == nil {
 		return nil, fmt.Errorf("retrieval: nil model")
 	}
@@ -68,7 +81,7 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 	}
 	cfg = cfg.withDefaults(n)
 	d := m.Dim()
-	aug, nonFinite, maxNorm := augmentItems(m)
+	aug, nonFinite := augmentItems(m)
 	centroids, assign := kmeans(aug, n, d+2, cfg.NLists, cfg.Iters, mathx.NewRNG(cfg.Seed))
 	nlist := len(centroids) / (d + 2)
 
@@ -81,51 +94,57 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 	for c := 0; c < nlist; c++ {
 		offsets[c+1] += offsets[c]
 	}
-	stride := d + 1
 	ids := make([]int32, n)
-	var packed []float64
-	var packed32 []float32
-	f32src, isF32 := m.(*mf.Factors32)
-	if isF32 {
-		packed32 = make([]float32, n*stride)
-	} else {
-		packed = make([]float64, n*stride)
-	}
 	cursor := make([]int32, nlist)
 	copy(cursor, offsets[:nlist])
-	var vbuf []float64
 	for i := 0; i < n; i++ {
 		c := assign[i]
-		slot := cursor[c]
+		ids[cursor[c]] = int32(i)
 		cursor[c]++
-		ids[slot] = int32(i)
-		if isF32 {
-			_, v32, b32 := f32src.RawParams32()
-			row := packed32[int(slot)*stride : int(slot)*stride+stride]
-			copy(row[:d], v32[i*d:i*d+d])
-			if b32 != nil {
-				row[d] = b32[i]
-			}
-			continue
-		}
-		row := packed[int(slot)*stride : int(slot)*stride+stride]
-		vf := m.ItemVector(int32(i), vbuf)
-		vbuf = vf
-		copy(row[:d], vf)
-		row[d] = m.Bias(int32(i))
 	}
-
-	nprobe := cfg.NProbe
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-	return &Index{
+	ix := &Index{
 		dim: d, augDim: d + 2,
-		nlist: nlist, nprobe: nprobe,
+		nlist: nlist, nprobe: cfg.NProbe,
 		centroids: centroids,
-		ids:       ids, packed: packed, packed32: packed32, offsets: offsets,
-		numItems: n, maxNorm: maxNorm, nonFinite: nonFinite,
-	}, nil
+		ids:       ids, offsets: offsets,
+		numItems: n, nonFinite: nonFinite,
+	}
+	ix.pack(m)
+	if ix.nprobe > nlist {
+		ix.nprobe = nlist
+	}
+	return ix, nil
+}
+
+// pack copies m's item rows and biases into the index in ids order.
+func (ix *Index) pack(m mf.Params) {
+	n, d := ix.numItems, ix.dim
+	if f32, ok := m.(*mf.Factors32); ok {
+		_, v, b := f32.RawParams32()
+		ix.v32 = make([]float32, n*d)
+		if b != nil {
+			ix.b32 = make([]float32, n)
+		}
+		for j, id := range ix.ids {
+			copy(ix.v32[j*d:j*d+d], v[int(id)*d:int(id)*d+d])
+			if b != nil {
+				ix.b32[j] = b[id]
+			}
+		}
+		return
+	}
+	ix.v64 = make([]float64, n*d)
+	if m.HasBias() {
+		ix.b64 = make([]float64, n)
+	}
+	var vbuf []float64
+	for j, id := range ix.ids {
+		vbuf = m.ItemVector(id, vbuf)
+		copy(ix.v64[j*d:j*d+d], vbuf)
+		if ix.b64 != nil {
+			ix.b64[j] = m.Bias(id)
+		}
+	}
 }
 
 // NLists returns the number of k-means cells actually built (≤ Config.
@@ -154,14 +173,19 @@ func (ix *Index) NonFinite() int { return ix.nonFinite }
 // coordinates participate. A NaN affinity (poisoned query) is ranked as
 // -Inf — cells are never dropped, only ordered, so nprobe == nlist always
 // probes everything and degenerates to exact retrieval whatever the query
-// contains. The serve path calls this separately from SearchCells so the
-// two phases land in distinct trace stages.
+// contains (a full-width probe skips the centroid scan: its answer is
+// every cell). The serve path calls this separately from SearchCells so
+// the two phases land in distinct trace stages.
 func (ix *Index) ProbeCells(uf []float64, nprobe int) []int32 {
 	if nprobe <= 0 {
 		nprobe = ix.nprobe
 	}
-	if nprobe > ix.nlist {
-		nprobe = ix.nlist
+	if nprobe >= ix.nlist {
+		cells := make([]int32, ix.nlist)
+		for c := range cells {
+			cells[c] = int32(c)
+		}
+		return cells
 	}
 	d, D := ix.dim, ix.augDim
 	h := rank.NewHeap(nprobe)
@@ -178,7 +202,7 @@ func (ix *Index) ProbeCells(uf []float64, nprobe int) []int32 {
 	for i, e := range top {
 		cells[i] = e.Item
 	}
-	sort.Slice(cells, func(a, b int) bool { return cells[a] < cells[b] })
+	slices.Sort(cells)
 	return cells
 }
 
@@ -196,18 +220,18 @@ func (ix *Index) Probe(uf []float64, nprobe int) []int32 {
 	for _, c := range cells {
 		cands = append(cands, ix.ids[ix.offsets[c]:ix.offsets[c+1]]...)
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a] < cands[b] })
+	slices.Sort(cands)
 	return cands
 }
 
 // Search returns the top k items for the query among the members of the
 // nprobe best cells (nprobe <= 0 uses the index default), plus the count
 // of candidates dropped for non-finite scores. Every candidate is scored
-// with the same operations as the dense kernel — mathx.Dot over the item
-// row plus the bias — so scores are bit-identical to exact retrieval;
-// the only approximation is which items get scored at all. With
-// nprobe == nlist the result (entries and dropped count) is bit-identical
-// to rank.TopKDropped over engine.ScoreAll output.
+// with the same operations as the dense kernel — mathx.Dot (mathx.DotF64F32
+// for float32 rows) over the item row, then the bias — so scores are
+// bit-identical to exact retrieval; the only approximation is which items
+// get scored at all. With nprobe == nlist the result (entries and dropped
+// count) is bit-identical to rank.TopKDropped over engine.ScoreAll output.
 //
 // excludeSorted is an ascending list of item ids to skip (the caller's
 // train positives; may be nil). Fewer than k entries come back when
@@ -220,14 +244,16 @@ func (ix *Index) Search(uf []float64, k, nprobe int, excludeSorted []int32) ([]r
 // SearchCells is the scoring half of Search: exactly re-rank the members
 // of the given cells (a ProbeCells result) and return the top k. Splitting
 // the phases lets the serve path time candidate selection ("probe") and
-// scan-plus-select ("score") as separate trace stages.
+// scan-plus-select ("score") as separate trace stages. Score, exclusion
+// and selection are one fused pass: no score buffer, no second sweep.
 func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
 	if k <= 0 {
 		return nil, 0 // mirror rank.TopKDropped: no selection, no counting
 	}
 	h := rank.NewHeap(k)
 	dropped := 0
-	d, stride := ix.dim, ix.dim+1
+	d := ix.dim
+	ids, v64, b64, v32, b32 := ix.ids, ix.v64, ix.b64, ix.v32, ix.b32
 	ex, lp := excludeSorted, len(excludeSorted)
 	// Floor-rejection fast path: once the heap is full, a candidate that
 	// would not displace the root is dropped with a local comparison
@@ -244,11 +270,10 @@ func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted [
 		// merge pointer for the whole span.
 		p := lp
 		if lp > 0 {
-			first := ix.ids[lo]
-			p = sort.Search(lp, func(j int) bool { return ex[j] >= first })
+			p, _ = slices.BinarySearch(ex, ids[lo])
 		}
 		for j := lo; j < hi; j++ {
-			id := ix.ids[j]
+			id := ids[j]
 			if p < lp {
 				for p < lp && ex[p] < id {
 					p++
@@ -257,17 +282,22 @@ func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted [
 					continue
 				}
 			}
-			off := j * stride
-			// The branch is taken the same way for every candidate of a
-			// query, so it predicts perfectly; both kernels accumulate in
-			// float64 with the same operation order (see internal/mathx).
+			off := j * d
+			// The branches are taken the same way for every candidate of
+			// a query, so they predict perfectly; both kernels accumulate
+			// in float64 with the same operation order as the parameter
+			// set's own ScoreAll (see internal/mathx), bias added last.
 			var s float64
-			if ix.packed32 != nil {
-				row := ix.packed32[off : off+stride]
-				s = mathx.DotF64F32(uf, row[:d]) + float64(row[d])
+			if v32 != nil {
+				s = mathx.DotF64F32(uf, v32[off:off+d])
+				if b32 != nil {
+					s += float64(b32[j])
+				}
 			} else {
-				row := ix.packed[off : off+stride]
-				s = mathx.Dot(uf, row[:d]) + row[d]
+				s = mathx.Dot(uf, v64[off:off+d])
+				if b64 != nil {
+					s += b64[j]
+				}
 			}
 			// Non-finite check strictly before floor rejection: a -Inf
 			// score must count as dropped (as the dense path counts it),
@@ -297,7 +327,7 @@ func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted [
 // are eliminated at re-rank time by their non-finite exact score. When
 // every item is zero-norm (an untrained model) all rows become the same
 // unit vector e_{d+1}, which k-means handles like any duplicate set.
-func augmentItems(m mf.Params) (aug []float64, nonFinite int, maxNorm float64) {
+func augmentItems(m mf.Params) (aug []float64, nonFinite int) {
 	n, d := m.NumItems(), m.Dim()
 	D := d + 2
 	aug = make([]float64, n*D)
@@ -325,7 +355,7 @@ func augmentItems(m mf.Params) (aug []float64, nonFinite int, maxNorm float64) {
 			max2 = s
 		}
 	}
-	maxNorm = math.Sqrt(max2)
+	maxNorm := math.Sqrt(max2)
 	for i := 0; i < n; i++ {
 		if bad[i] {
 			continue // quarantined: the zero vector
@@ -347,7 +377,7 @@ func augmentItems(m mf.Params) (aug []float64, nonFinite int, maxNorm float64) {
 		}
 		row[d+1] = math.Sqrt(rem)
 	}
-	return aug, nonFinite, maxNorm
+	return aug, nonFinite
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -1,7 +1,8 @@
-// Package retrieval provides sublinear top-K maximum-inner-product
-// retrieval over a trained model's item factors — the serve-path unlock
-// for catalogs where exact scoring (O(items·dim) per request, see
-// internal/score) is too slow.
+// Package retrieval provides top-K maximum-inner-product retrieval over a
+// trained model's item factors: sublinear IVF retrieval for catalogs
+// where exact scoring (O(items·dim) per request) is too slow, and the
+// exact single-cell view that runs exact retrieval through the same fused
+// scan (see ExactView).
 //
 // The construction has two layers:
 //
@@ -41,8 +42,8 @@ import (
 type Mode int
 
 const (
-	// ModeExact scores every item per query — the dense blocked kernel
-	// in internal/score. Always correct, O(items·dim) per query.
+	// ModeExact scores every item per query — a full sweep over the
+	// exact view (ExactView). Always correct, O(items·dim) per query.
 	ModeExact Mode = iota
 	// ModeIVF prunes to the nprobe most promising k-means cells and
 	// re-ranks their members exactly — sublinear per query, recall

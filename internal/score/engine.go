@@ -9,9 +9,10 @@
 // batch with the item loop *outside* the user loop keeps each block of V
 // hot across the entire batch, so V is effectively read once per batch
 // block instead of once per user. Engine packages that blocked kernel plus
-// a worker pool for large batches, and is reused by the HTTP serve path
-// (/recommend and /recommend/batch), the evaluation protocol, and
-// clapf-bench.
+// a worker pool for large batches, and is reused by the evaluation
+// protocol, clapf-bench, and the benchmark harness. The HTTP serve path
+// does not use it: serving ranks through internal/retrieval's fused
+// score-and-select sweep, which needs no full score row.
 //
 // Every method computes bit-identical values to mf.Model.ScoreAll — the
 // per-item dot products are the same operations in the same order — so

@@ -1,15 +1,17 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"clapf/internal/obs/trace"
-	"clapf/internal/retrieval"
-	"clapf/internal/score"
 )
 
 // maxBatchBody bounds the /recommend/batch request body. A full batch of
@@ -49,14 +51,12 @@ type BatchResponse struct {
 // handleRecommendBatch serves many recommendations from one request. The
 // whole batch runs against a single liveState snapshot, so every entry
 // sees the same model generation — and the same retrieval mode: known-user
-// entries go through exactly the dispatch the single path uses
-// (topKForUser), so under IVF a batch probes the index per entry instead
-// of silently falling back to dense scoring, and every cache key carries
-// the mode. In exact mode the cache misses are additionally collected and
-// scored together through the engine's blocked batch kernel, which reads
-// each tile of the item-factor matrix once for the whole batch instead of
-// once per user (the IVF path already reads only the probed cells, so
-// there is no shared sweep to batch).
+// entries go through exactly the path the single request uses
+// (topKForUser: cache, then the index sweep, then the cache fill) and
+// cold-start entries through topKColdStart, so every cache key carries the
+// mode and no entry can fall back to a different kernel. Entries are
+// independent, so they fan out over at most GOMAXPROCS goroutines; repeated
+// users in one batch coalesce through the cache fill.
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
@@ -86,107 +86,86 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 
 	st := s.live.Load()
 	results := make([]BatchResult, len(req.Requests))
+	fanOut(len(req.Requests), func(idx int) {
+		s.batchEntry(ctx, st, idx, req.Requests[idx], &results[idx])
+	})
+	s.writeJSON(ctx, w, http.StatusOK, BatchResponse{Results: results})
+}
 
-	// Pass 1: validate every entry, answer cache hits, and collect the
-	// known users that still need scoring (deduped across entries — two
-	// entries for the same user share one score row). Each entry runs
-	// under its own "entry" span (note = entry index) so a slow batch
-	// shows which member dragged it down; cold-start stages nest inside.
-	type pendingKnown struct {
-		idx int
-		u   int32
-		k   int
+// batchEntry answers one batch entry into res under its own "entry" span
+// (note = entry index), so a slow batch shows which member dragged it
+// down; the entry's stages nest inside.
+func (s *Server) batchEntry(ctx context.Context, st *liveState, idx int, e BatchEntry, res *BatchResult) {
+	ectx, esp := trace.StartSpan(ctx, "entry")
+	if esp.Active() {
+		esp.SetNote(strconv.Itoa(idx))
 	}
-	var pending []pendingKnown
-	rowOf := make(map[int32]int) // user -> index into the score batch
-	var missUsers []int32
-	for idx := range req.Requests {
-		ectx, esp := trace.StartSpan(ctx, "entry")
-		if esp.Active() {
-			esp.SetNote(strconv.Itoa(idx))
+	defer esp.End()
+	k, err := clampBatchK(e.K, s.MaxK)
+	if err != nil {
+		res.Error = err.Error()
+		return
+	}
+	switch {
+	case e.User != nil && len(e.Items) > 0:
+		res.Error = "pass either user or items, not both"
+	case e.User != nil:
+		u := *e.User
+		if u < 0 || int(u) >= st.params.NumUsers() {
+			res.Error = fmt.Sprintf("invalid user %d", u)
+			return
 		}
-		func() {
-			defer esp.End()
-			e := req.Requests[idx]
-			res := &results[idx]
-			k, err := clampBatchK(e.K, s.MaxK)
-			if err != nil {
-				res.Error = err.Error()
-				return
-			}
-			switch {
-			case e.User != nil && len(e.Items) > 0:
-				res.Error = "pass either user or items, not both"
-			case e.User != nil:
-				u := *e.User
-				if u < 0 || int(u) >= st.params.NumUsers() {
-					res.Error = fmt.Sprintf("invalid user %d", u)
-					return
-				}
-				res.User = e.User
-				if st.mode == retrieval.ModeIVF {
-					// The single path's mode dispatch: cache (mode-keyed),
-					// probe, pruned score, cache fill — with the stage spans
-					// nested under this entry. Repeated users in one batch
-					// coalesce through the cache fill rather than a shared
-					// score row.
-					res.Items = s.topKForUser(ectx, st, u, k)
-					return
-				}
-				sp := trace.StartSpanNoCtx(ectx, "cache")
-				items, ok := st.cache.get(cacheKey{user: u, k: k, mode: st.mode})
-				sp.End()
-				if ok {
-					s.cacheHits.Inc()
-					res.Items = items
-					return
-				}
-				if st.cache != nil {
-					s.cacheMisses.Inc()
-				}
-				if _, ok := rowOf[u]; !ok {
-					rowOf[u] = len(missUsers)
-					missUsers = append(missUsers, u)
-				}
-				pending = append(pending, pendingKnown{idx: idx, u: u, k: k})
-			case len(e.Items) > 0:
-				history, err := dedupeIDs(e.Items, st.params.NumItems(), s.MaxHistory)
-				if err != nil {
-					res.Error = err.Error()
-					return
-				}
-				items, err := s.topKColdStart(ectx, st, history, k)
-				if err != nil {
-					res.Error = err.Error()
-					return
-				}
-				res.Items = items
-			default:
-				res.Error = "entry needs a user or a non-empty items history"
+		res.User = e.User
+		res.Items = s.topKForUser(ectx, st, u, k)
+	case len(e.Items) > 0:
+		history, err := dedupeIDs(e.Items, st.params.NumItems(), s.MaxHistory)
+		if err != nil {
+			res.Error = err.Error()
+			return
+		}
+		items, err := s.topKColdStart(ectx, st, history, k)
+		if err != nil {
+			res.Error = err.Error()
+			return
+		}
+		res.Items = items
+	default:
+		res.Error = "entry needs a user or a non-empty items history"
+	}
+}
+
+// fanOut runs fn(0..n-1) over at most GOMAXPROCS goroutines, the calling
+// goroutine included, and returns when every call has. A panic in any call
+// is re-raised on the calling goroutine once the others finish, so the
+// handler's recover middleware still turns it into a 500 instead of the
+// process dying on a worker goroutine.
+func fanOut(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	var panicked atomic.Pointer[any]
+	work := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				panicked.CompareAndSwap(nil, &p)
 			}
 		}()
-	}
-
-	// Pass 2 (exact mode only — IVF entries were fully answered in pass 1):
-	// one blocked, parallel scoring sweep over the cache misses. The sweep
-	// serves many entries at once, so its stages attach to the request
-	// root, not to any single entry span.
-	if len(missUsers) > 0 {
-		sp := trace.StartSpanNoCtx(ctx, "score")
-		rows := score.NewScoreRows(len(missUsers), st.params.NumItems())
-		st.eng.ScoreUsersParallel(missUsers, rows)
-		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "topk")
-		for _, p := range pending {
-			u := p.u
-			items := s.rankTopK(rows[rowOf[u]], p.k, excludeSorted(s.positivesFor(u)))
-			s.cacheEvictions.Add(uint64(st.cache.put(cacheKey{user: u, k: p.k, mode: st.mode}, items)))
-			results[p.idx].Items = items
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
 		}
-		sp.End()
 	}
-
-	s.writeJSON(ctx, w, http.StatusOK, BatchResponse{Results: results})
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 }
 
 // clampBatchK normalizes a batch entry's k exactly like parseK does for

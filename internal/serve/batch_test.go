@@ -39,7 +39,7 @@ func i32(v int32) *int32 { return &v }
 // The batch endpoint's golden property: every entry's answer is exactly
 // what the single-request path returns for the same query — same items,
 // same scores, same order — whether the entry is a known user, a repeated
-// user sharing a score row, or a cold-start history.
+// user, or a cold-start history.
 func TestBatchMatchesSinglePath(t *testing.T) {
 	s, _ := testServer(t)
 	s.SetCacheSize(0) // compare pure computation, not cache plumbing
@@ -48,7 +48,7 @@ func TestBatchMatchesSinglePath(t *testing.T) {
 	rec, resp := postBatch(t, h, BatchRequest{Requests: []BatchEntry{
 		{User: i32(3), K: 7},
 		{User: i32(11)},      // default k = 10
-		{User: i32(3), K: 7}, // duplicate entry shares a score row
+		{User: i32(3), K: 7}, // duplicate entry
 		{Items: []int32{1, 2, 3}, K: 5},
 		{Items: []int32{3, 3, 5}, K: 2}, // history with duplicates
 	}})

@@ -17,12 +17,24 @@ import (
 //
 // Only known-user requests are cached: cold-start histories are free-form
 // and would make the key space unbounded.
+//
+// Within a generation, online updates invalidate single users. A fill
+// computed before such an invalidation must not land after it, or the
+// stale list (which may recommend the just-acknowledged item) would be
+// served until evicted. Every invalidation therefore bumps its user's
+// stripe of inval; a miss reads the stripe (stamp) before computing, and
+// put stores nothing once the stripe has moved. Striping bounds the
+// memory; a collision only costs a refused fill.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
 	byKey map[cacheKey]*list.Element
+	inval [invalStripes]uint64
 }
+
+// invalStripes is the number of per-user invalidation counters.
+const invalStripes = 1024
 
 // cacheKey carries the retrieval mode alongside (user, k): exact and IVF
 // answers for the same request differ, and SetRetrieval rebuilds the
@@ -69,14 +81,30 @@ func (c *resultCache) get(key cacheKey) ([]Item, bool) {
 	return el.Value.(*cacheEntry).items, true
 }
 
-// put stores items under key and reports how many entries were evicted to
-// stay within capacity (0 or 1). Re-putting an existing key refreshes it.
-func (c *resultCache) put(key cacheKey, items []Item) (evicted int) {
+// stamp returns user u's invalidation stamp, to be read before computing
+// the list a later put stores.
+func (c *resultCache) stamp(u int32) uint64 {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.inval[uint32(u)%invalStripes]
+}
+
+// put stores items under key and reports how many entries were evicted to
+// stay within capacity (0 or 1). Re-putting an existing key refreshes it.
+// stamp is the user's stamp from before the items were computed; if the
+// user's stripe was invalidated since, nothing is stored.
+func (c *resultCache) put(key cacheKey, items []Item, stamp uint64) (evicted int) {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inval[uint32(key.user)%invalStripes] != stamp {
+		return 0
+	}
 	if el, ok := c.byKey[key]; ok {
 		el.Value.(*cacheEntry).items = items
 		c.ll.MoveToFront(el)
@@ -97,13 +125,15 @@ func (c *resultCache) put(key cacheKey, items []Item) (evicted int) {
 // so only that user's cached top-K answers (across all k and modes) are
 // stale; everyone else's stay warm. The scan is over the key map, bounded
 // by the cache capacity (microseconds at the default 4096), and runs
-// under the same mutex as get/put.
+// under the same mutex as get/put. It also bumps u's stamp so a fill
+// racing the invalidation is refused (see resultCache).
 func (c *resultCache) invalidateUser(u int32) (removed int) {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.inval[uint32(u)%invalStripes]++
 	for key, el := range c.byKey {
 		if key.user == u {
 			c.ll.Remove(el)

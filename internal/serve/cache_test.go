@@ -16,16 +16,16 @@ func TestResultCacheLRU(t *testing.T) {
 	if _, ok := c.get(cacheKey{user: 1, k: 5}); ok {
 		t.Fatal("empty cache returned a hit")
 	}
-	if ev := c.put(cacheKey{user: 1, k: 5}, a); ev != 0 {
+	if ev := c.put(cacheKey{user: 1, k: 5}, a, 0); ev != 0 {
 		t.Fatalf("first put evicted %d", ev)
 	}
-	c.put(cacheKey{user: 2, k: 5}, b)
+	c.put(cacheKey{user: 2, k: 5}, b, 0)
 
 	// Touch user 1 so user 2 is the LRU victim.
 	if got, ok := c.get(cacheKey{user: 1, k: 5}); !ok || got[0].Item != 1 {
 		t.Fatalf("get(1) = %v, %v", got, ok)
 	}
-	if ev := c.put(cacheKey{user: 3, k: 5}, cc); ev != 1 {
+	if ev := c.put(cacheKey{user: 3, k: 5}, cc, 0); ev != 1 {
 		t.Fatalf("over-capacity put evicted %d, want 1", ev)
 	}
 	if _, ok := c.get(cacheKey{user: 2, k: 5}); ok {
@@ -44,7 +44,7 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 
 	// Re-putting an existing key refreshes without eviction.
-	if ev := c.put(cacheKey{user: 1, k: 5}, b); ev != 0 || c.size() != 2 {
+	if ev := c.put(cacheKey{user: 1, k: 5}, b, 0); ev != 0 || c.size() != 2 {
 		t.Errorf("refresh put: evicted %d, size %d", ev, c.size())
 	}
 }
@@ -57,7 +57,7 @@ func TestResultCacheNilDisabled(t *testing.T) {
 	if _, ok := c.get(cacheKey{user: 1, k: 5}); ok {
 		t.Error("nil cache hit")
 	}
-	if ev := c.put(cacheKey{user: 1, k: 5}, nil); ev != 0 {
+	if ev := c.put(cacheKey{user: 1, k: 5}, nil, 0); ev != 0 {
 		t.Errorf("nil cache evicted %d", ev)
 	}
 	if c.size() != 0 {
@@ -199,11 +199,11 @@ func TestCacheInvalidateUserIsTargeted(t *testing.T) {
 	c := newResultCache(8)
 	a := []Item{{Item: 1, Score: 0.5}}
 	// User 7 under two ks and two modes; users 8 and 9 once each.
-	c.put(cacheKey{user: 7, k: 5}, a)
-	c.put(cacheKey{user: 7, k: 10}, a)
-	c.put(cacheKey{user: 7, k: 5, mode: 1}, a)
-	c.put(cacheKey{user: 8, k: 5}, a)
-	c.put(cacheKey{user: 9, k: 10}, a)
+	c.put(cacheKey{user: 7, k: 5}, a, 0)
+	c.put(cacheKey{user: 7, k: 10}, a, 0)
+	c.put(cacheKey{user: 7, k: 5, mode: 1}, a, 0)
+	c.put(cacheKey{user: 8, k: 5}, a, 0)
+	c.put(cacheKey{user: 9, k: 10}, a, 0)
 
 	if removed := c.invalidateUser(7); removed != 3 {
 		t.Fatalf("invalidateUser(7) removed %d entries, want 3", removed)
@@ -232,5 +232,37 @@ func TestCacheInvalidateUserIsTargeted(t *testing.T) {
 	}
 	if removed := c.invalidateUser(42); removed != 0 {
 		t.Errorf("absent user invalidation removed %d", removed)
+	}
+}
+
+// TestCacheFillRefusedAfterInvalidate pins the miss → invalidate → put
+// interleaving: a list computed before an online update invalidated its
+// user must not be stored after it, while fills for other stripes and
+// fresh fills for the same user still land.
+func TestCacheFillRefusedAfterInvalidate(t *testing.T) {
+	c := newResultCache(8)
+	items := []Item{{Item: 4, Score: 1}}
+	key := cacheKey{user: 3, k: 5}
+	other := cacheKey{user: 4, k: 5}
+
+	stale, otherStamp := c.stamp(3), c.stamp(4) // miss: read before computing
+	c.invalidateUser(3)                         // concurrent online update
+	if ev := c.put(key, items, stale); ev != 0 || c.size() != 0 {
+		t.Fatalf("stale fill stored: evicted %d, size %d", ev, c.size())
+	}
+	if _, ok := c.get(key); ok {
+		t.Fatal("stale fill is served after the invalidation")
+	}
+	c.put(other, items, otherStamp)
+	if _, ok := c.get(other); !ok {
+		t.Fatal("fill for an untouched user was refused")
+	}
+	c.put(key, items, c.stamp(3))
+	if _, ok := c.get(key); !ok {
+		t.Fatal("fill computed after the invalidation was refused")
+	}
+	var nilCache *resultCache
+	if nilCache.stamp(3) != 0 || nilCache.put(key, items, 0) != 0 {
+		t.Fatal("nil cache must ignore stamps and fills")
 	}
 }

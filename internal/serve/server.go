@@ -11,7 +11,7 @@
 //	POST /admin/reload                hot model reload (opt-in: EnableAdminReload)
 //
 // All responses are JSON except /metrics. Handlers are read-only over an
-// immutable dataset and a liveState — the model, its scoring engine, and
+// immutable dataset and a liveState — the model, its retrieval index, and
 // its top-K result cache — held behind one atomic pointer, so they are
 // safe for concurrent use and the model can be hot-swapped (SIGHUP in
 // cmd/clapf-serve) without dropping a request. Because the cache travels
@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,21 +42,20 @@ import (
 	"clapf/internal/obs/trace"
 	"clapf/internal/rank"
 	"clapf/internal/retrieval"
-	"clapf/internal/score"
 	"clapf/internal/store"
 )
 
 // liveState bundles everything that must change together when the model is
 // swapped: the parameter set (a float64 *mf.Model or a float32, possibly
-// mmap-backed, *mf.Factors32), the scoring engine built over it, the
-// retrieval index (IVF mode only) built from it, and the top-K cache of
-// its results. Requests load it once and use only that snapshot, so even
-// mid-swap a request is internally consistent — an index can never be
-// paired with a model it was not built from, and a cache can never serve
-// another generation's answers. An mmap-backed generation needs no
-// explicit teardown on retirement: the Factors32 pins its mapping, and a
-// finalizer releases the pages once the last request-held snapshot is
-// gone (see store.MappedModel).
+// mmap-backed, *mf.Factors32), the retrieval index over its item rows,
+// and the top-K cache of its results. Requests load it once and use only
+// that snapshot, so even mid-swap a request is internally consistent — an
+// index can never be paired with a model it was not built from, and a
+// cache can never serve another generation's answers. An mmap-backed
+// generation needs no explicit teardown on retirement: the Factors32 pins
+// its mapping, and a finalizer releases the pages once the last
+// request-held snapshot (or exact view reading its rows) is gone (see
+// store.MappedModel).
 type liveState struct {
 	params mf.Params
 	// base is the read-only parameter set under params. With streaming
@@ -64,10 +63,11 @@ type liveState struct {
 	// user-factor updates land in the overlay); otherwise params == base.
 	base    mf.Params
 	overlay *mf.Overlay // nil when feedback is disabled
-	eng     *score.Engine
 	mode    retrieval.Mode
-	index   *retrieval.Index // nil in exact mode
-	cache   *resultCache
+	// index answers every ranking: an IVF index in IVF mode, the
+	// single-cell exact view over base's own item rows in exact mode.
+	index *retrieval.Index
+	cache *resultCache
 }
 
 // DefaultCacheSize bounds the per-generation top-K result cache.
@@ -238,8 +238,8 @@ func NewFromParams(model mf.Params, train *dataset.Dataset) (*Server, error) {
 	s.reg.NewGaugeFunc("clapf_ivf_cells",
 		"Inverted-list cells in the live IVF index (0 in exact mode).",
 		func() float64 {
-			if ix := s.live.Load().index; ix != nil {
-				return float64(ix.NLists())
+			if st := s.live.Load(); st.mode == retrieval.ModeIVF {
+				return float64(st.index.NLists())
 			}
 			return 0
 		})
@@ -342,7 +342,7 @@ func (s *Server) CacheSize() int { return int(s.cacheSize.Load()) }
 // SetCacheSize resizes the top-K result cache and immediately installs a
 // fresh, empty cache of the new size for the current model; n <= 0
 // disables caching. Existing entries are dropped, never migrated. The
-// model, engine, retrieval mode, and index carry over unchanged.
+// model, retrieval mode, and index carry over unchanged.
 func (s *Server) SetCacheSize(n int) {
 	if n < 0 {
 		n = 0
@@ -352,7 +352,7 @@ func (s *Server) SetCacheSize(n int) {
 	s.cacheSize.Store(int64(n))
 	st := s.live.Load()
 	s.live.Store(&liveState{
-		params: st.params, base: st.base, overlay: st.overlay, eng: st.eng,
+		params: st.params, base: st.base, overlay: st.overlay,
 		mode: st.mode, index: st.index,
 		cache: newResultCache(n),
 	})
@@ -388,8 +388,9 @@ func (s *Server) SetRetrieval(mode retrieval.Mode, cfg retrieval.Config) error {
 }
 
 // install builds and publishes the liveState for base parameter set m:
-// the online-update overlay when feedback is enabled, the scoring engine,
-// the retrieval index when IVF mode is on, plus an empty result cache.
+// the online-update overlay when feedback is enabled, the retrieval index
+// (an IVF build, or the exact view over m's rows), plus an empty result
+// cache.
 // Publishing the bundle through one pointer store is what makes cache and
 // index invalidation atomic with the model swap. Callers must hold swapMu
 // (or, in New, be the only goroutine that can see the server).
@@ -421,13 +422,15 @@ func (s *Server) install(m mf.Params, folded uint64) error {
 		st.overlay = ov
 		st.params = ov
 	}
-	st.eng = score.NewEngine(st.params)
+	// Both indexes read item rows from the base: the overlay only ever
+	// replaces user rows.
+	var err error
 	if st.mode == retrieval.ModeIVF {
-		ix, err := retrieval.BuildIVF(st.params, s.retr.Load().cfg)
-		if err != nil {
+		if st.index, err = retrieval.BuildIVF(m, s.retr.Load().cfg); err != nil {
 			return fmt.Errorf("serve: building IVF index: %w", err)
 		}
-		st.index = ix
+	} else if st.index, err = retrieval.ExactView(m); err != nil {
+		return fmt.Errorf("serve: building exact view: %w", err)
 	}
 	s.live.Store(st)
 	return nil
@@ -737,12 +740,17 @@ func (s *Server) recommendKnown(ctx context.Context, w http.ResponseWriter, user
 // topKForUser answers a known-user top-K from st's cache when possible,
 // scoring and filling the cache otherwise. All counters (hits, misses,
 // evictions, non-finite drops) are maintained here so the single and batch
-// paths report identically. Each phase is a trace stage. Exact mode:
-// "cache" (lookup, and the fill put on a miss), "score", "merge"
-// (exclusion construction — the per-item filtering itself is fused into
-// the top-K scan and attributed to "topk"), and "topk". IVF mode: "cache",
-// "probe" (centroid scan and cell selection), then "score" (the pruned
-// exact re-rank, with exclusion and top-K selection fused into the scan).
+// paths report identically. Both modes run one path — user vector, cell
+// probe, then the index's fused score/exclude/select sweep — and differ
+// only in stage attribution. Exact mode: "cache" (lookup, and the fill put
+// on a miss), "merge" (the exclusion list), and "score" (the full-catalog
+// sweep over the exact view's single cell, which needs no probe stage).
+// IVF mode: "cache", "probe" (centroid scan and cell selection), then
+// "score" (the pruned sweep, exclusion lookup included).
+//
+// A miss reads the user's invalidation stamp before scoring, and the fill
+// is refused if an online update invalidated the user meanwhile: the list
+// was computed from factors and an exclusion set that are already stale.
 func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int) []Item {
 	key := cacheKey{user: u, k: k, mode: st.mode}
 	sp := trace.StartSpanNoCtx(ctx, "cache")
@@ -752,32 +760,29 @@ func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int)
 		s.cacheHits.Inc()
 		return items
 	}
+	stamp := st.cache.stamp(u)
 	if st.cache != nil {
 		s.cacheMisses.Inc()
 	}
+	uf := st.params.UserVector(u, nil)
+	var top []rank.Entry
+	var dropped int
 	if st.mode == retrieval.ModeIVF {
-		uf := st.params.UserVector(u, nil)
-		sp = trace.StartSpanNoCtx(ctx, "probe")
-		cells := st.index.ProbeCells(uf, 0)
-		sp.End()
+		cells := probeCells(ctx, st, uf)
 		sp = trace.StartSpanNoCtx(ctx, "score")
-		top, dropped := st.index.SearchCells(uf, cells, k, s.positivesFor(u))
+		top, dropped = st.index.SearchCells(uf, cells, k, s.positivesFor(u))
 		sp.End()
-		items = s.countDropped(top, dropped)
 	} else {
-		sp = trace.StartSpanNoCtx(ctx, "score")
-		scores := make([]float64, st.params.NumItems())
-		st.eng.ScoreAll(u, scores)
-		sp.End()
 		sp = trace.StartSpanNoCtx(ctx, "merge")
-		exclude := excludeSorted(s.positivesFor(u))
+		exclude := s.positivesFor(u)
 		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "topk")
-		items = s.rankTopK(scores, k, exclude)
+		sp = trace.StartSpanNoCtx(ctx, "score")
+		top, dropped = st.index.SearchCells(uf, probeCells(ctx, st, uf), k, exclude)
 		sp.End()
 	}
+	items = s.countDropped(top, dropped)
 	sp = trace.StartSpanNoCtx(ctx, "cache")
-	s.cacheEvictions.Add(uint64(st.cache.put(key, items)))
+	s.cacheEvictions.Add(uint64(st.cache.put(key, items, stamp)))
 	sp.End()
 	return items
 }
@@ -786,9 +791,9 @@ func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int)
 // extended with any items ingested through /feedback. Without a feedback
 // sink — or for users with no ingested events — this is the dataset's own
 // slice, shared and allocation-free; with extras it is a fresh sorted
-// merge. Every known-user ranking path (exact, IVF, batch sweep) excludes
-// through it, so an ingested item stops being recommended back to its
-// user the moment its append is acknowledged.
+// merge. Every known-user ranking excludes through it, so an ingested item
+// stops being recommended back to its user the moment its append is
+// acknowledged.
 func (s *Server) positivesFor(u int32) []int32 {
 	pos := s.train.Positives(u)
 	if sink := s.feedbackSink(); sink != nil {
@@ -799,39 +804,12 @@ func (s *Server) positivesFor(u int32) []int32 {
 	return pos
 }
 
-// excludeSorted builds a TopK exclusion over a sorted id list. rank.TopK
-// visits items in increasing order (part of its contract), so one merge
-// pointer replaces a binary search per item — profiling showed the
-// per-item IsPositive search was ~30% of serve-path CPU.
-func excludeSorted(pos []int32) func(int32) bool {
-	idx := 0
-	return func(i int32) bool {
-		for idx < len(pos) && pos[idx] < i {
-			idx++
-		}
-		return idx < len(pos) && pos[idx] == i
-	}
-}
-
-// countDropped is rankTopK's accounting for the IVF path, where exclusion
-// and selection are fused into the index scan and the non-finite drop
-// count comes back alongside the entries.
+// countDropped is the one funnel every serve-path ranking goes through:
+// the index sweep drops non-finite scores, and this counts and logs them.
+// A nonzero clapf_nonfinite_scores_total means the live model carries
+// NaN/Inf parameters (diverged run, bit-flipped file) — worth an alert,
+// not a silent mis-ranking.
 func (s *Server) countDropped(top []rank.Entry, dropped int) []Item {
-	if dropped > 0 {
-		s.nonfinite.Add(uint64(dropped))
-		s.log.Warn("dropped non-finite scores from ranking",
-			"dropped", dropped, "generation", s.generation.Load())
-	}
-	return toItems(top)
-}
-
-// rankTopK is the one funnel every serve-path ranking goes through: TopK
-// with non-finite scores dropped, counted, and logged. A nonzero
-// clapf_nonfinite_scores_total means the live model carries NaN/Inf
-// parameters (diverged run, bit-flipped file) — worth an alert, not a
-// silent mis-ranking.
-func (s *Server) rankTopK(scores []float64, k int, exclude func(int32) bool) []Item {
-	top, dropped := rank.TopKDropped(scores, k, exclude)
 	if dropped > 0 {
 		s.nonfinite.Add(uint64(dropped))
 		s.log.Warn("dropped non-finite scores from ranking",
@@ -856,13 +834,12 @@ func (s *Server) recommendColdStart(ctx context.Context, w http.ResponseWriter, 
 }
 
 // topKColdStart folds a (deduped) history into user factors and ranks all
-// items outside it. Cold-start results are never cached: the history is
-// the key and its space is unbounded. Stages in exact mode: "foldin"
-// (ridge solve), "merge" (history exclusion set), "score", "topk"; in IVF
-// mode "merge" sorts the history for the index's merge-exclusion, then
-// "probe" and "score" replace the dense scan. The folded-in vector has the
-// same shape as a trained user's factors, so the index probes it
-// unchanged.
+// items outside it through the same sweep as topKForUser. Cold-start
+// results are never cached: the history is the key and its space is
+// unbounded. Stages: "foldin" (ridge solve), "merge" (sorting the history
+// into the sweep's exclusion list), "probe" in IVF mode only, and "score".
+// The folded-in vector has the same shape as a trained user's factors, so
+// the index probes it unchanged.
 func (s *Server) topKColdStart(ctx context.Context, st *liveState, history []int32, k int) ([]Item, error) {
 	sp := trace.StartSpanNoCtx(ctx, "foldin")
 	uf, err := mf.FoldInUser(st.params, history, s.FoldInReg)
@@ -870,32 +847,25 @@ func (s *Server) topKColdStart(ctx context.Context, st *liveState, history []int
 	if err != nil {
 		return nil, err
 	}
-	if st.mode == retrieval.ModeIVF {
-		sp = trace.StartSpanNoCtx(ctx, "merge")
-		exclude := append([]int32(nil), history...)
-		sort.Slice(exclude, func(a, b int) bool { return exclude[a] < exclude[b] })
-		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "probe")
-		cells := st.index.ProbeCells(uf, 0)
-		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "score")
-		defer sp.End()
-		top, dropped := st.index.SearchCells(uf, cells, k, exclude)
-		return s.countDropped(top, dropped), nil
-	}
 	sp = trace.StartSpanNoCtx(ctx, "merge")
-	seen := make(map[int32]bool, len(history))
-	for _, it := range history {
-		seen[it] = true
-	}
+	exclude := slices.Clone(history)
+	slices.Sort(exclude)
 	sp.End()
+	cells := probeCells(ctx, st, uf)
 	sp = trace.StartSpanNoCtx(ctx, "score")
-	scores := make([]float64, st.params.NumItems())
-	st.params.ScoreAllFoldIn(uf, scores)
-	sp.End()
-	sp = trace.StartSpanNoCtx(ctx, "topk")
 	defer sp.End()
-	return s.rankTopK(scores, k, func(i int32) bool { return seen[i] }), nil
+	top, dropped := st.index.SearchCells(uf, cells, k, exclude)
+	return s.countDropped(top, dropped), nil
+}
+
+// probeCells selects the index cells a query sweeps. In IVF mode that is
+// the "probe" stage; the exact view's single cell is not worth a stage.
+func probeCells(ctx context.Context, st *liveState, uf []float64) []int32 {
+	if st.mode == retrieval.ModeIVF {
+		sp := trace.StartSpanNoCtx(ctx, "probe")
+		defer sp.End()
+	}
+	return st.index.ProbeCells(uf, 0)
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {

@@ -49,13 +49,28 @@ go test -run='^$' -fuzz='^FuzzIVFBuild$' -fuzztime=5s ./internal/retrieval
 go test -race -count=1 -run '^TestIVFSmoke$' ./internal/retrieval
 echo "ivf retrieval smoke ok"
 
+# One-path gate: exact retrieval is the single-cell view scanned by the
+# IVF kernel, so for random float64, float32 and overlay-wrapped models
+# (NaN/Inf rows and biases, exclusions at both id ends, k beyond the
+# candidates and k <= 0) the view's fused sweep must equal the dense
+# two-pass ScoreAll + TopKDropped ranking bit for bit, and an IVF index
+# over an overlaid float32 base must keep the float32 layout. -count=1
+# defeats the test cache so the gate always actually runs.
+go test -race -count=1 -run '^Test(ExactView|BuildIVFOverlayF32)' ./internal/retrieval
+echo "exact one-path gate ok"
+
 # Batch-IVF gate: the /recommend/batch endpoint must answer through the
 # installed retrieval index exactly like the single-request path (no
-# silent dense fall-back), keep cache keys mode-scoped, and stay
-# consistent across retrieval mode flips with batches in flight — the
-# flip test races batches against SetRetrieval, hence the race detector.
-# -count=1 defeats the test cache so the gate always actually runs.
-go test -race -count=1 -run '^Test(BatchIVF|ModeFlip|ServeFloat32)' ./internal/serve
+# silent dense fall-back), keep cache keys mode-scoped, stay consistent
+# across retrieval mode flips with batches in flight, and give the same
+# lists when its entries fan out over several goroutines — the flip and
+# fan-out tests race goroutines, hence the race detector. The cache-fill
+# race (a fill computed before an online update's invalidation must not
+# be stored after it) is pinned deterministically and raced end to end
+# against POST /feedback. -count=1 defeats the test cache so the gate
+# always actually runs.
+go test -race -count=1 -run '^Test(BatchIVF|BatchParallel|FanOut|ModeFlip|ServeFloat32|CacheFillRefused)' ./internal/serve
+go test -race -count=1 -run '^TestFeedbackCacheFillRace$' ./internal/feedback
 echo "batch-ivf gate ok"
 
 # Serve load-test smoke: a tiny single/batch/cached sweep through a live
